@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"time"
 
@@ -20,11 +18,8 @@ const ClusterSchema = "chaos-bench-cluster/v1"
 // event-driven datacenter simulator chews through simulated time at
 // each fleet size, and proof the runs reproduce.
 type ClusterDoc struct {
-	Schema     string `json:"schema"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	Seed       int64  `json:"seed"`
-	SimSeconds int64  `json:"sim_seconds"`
+	Envelope
+	SimSeconds int64 `json:"sim_seconds"`
 	// ReproVerified is set after the smallest cell is run twice and both
 	// runs produced identical event digests.
 	ReproVerified bool          `json:"repro_verified"`
@@ -151,10 +146,7 @@ func runClusterBench(w io.Writer, out string, seed int64, sizes []int, simSecond
 	if simSeconds < 10 {
 		return fmt.Errorf("-sim-seconds must be ≥ 10")
 	}
-	doc := &ClusterDoc{
-		Schema: ClusterSchema, GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
-		Seed: seed, SimSeconds: simSeconds,
-	}
+	doc := &ClusterDoc{Envelope: newEnvelope(ClusterSchema, seed), SimSeconds: simSeconds}
 	for _, n := range sizes {
 		cell, err := runClusterCell(n, seed, simSeconds)
 		if err != nil {
@@ -166,45 +158,24 @@ func runClusterBench(w io.Writer, out string, seed int64, sizes []int, simSecond
 	}
 	// Reproducibility: the smallest cell rerun must replay the identical
 	// event stream.
-	rerun, err := runClusterCell(sizes[0], seed, simSeconds)
+	err := verifyRepro(fmt.Sprintf("size %d", sizes[0]), doc.Cells[0].Digest, func() (string, error) {
+		rerun, err := runClusterCell(sizes[0], seed, simSeconds)
+		return rerun.Digest, err
+	})
 	if err != nil {
 		return err
-	}
-	if rerun.Digest != doc.Cells[0].Digest {
-		return fmt.Errorf("size %d not reproducible: digest %s then %s",
-			sizes[0], doc.Cells[0].Digest, rerun.Digest)
 	}
 	doc.ReproVerified = true
-
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (%d cells, repro verified)\n", out, len(doc.Cells))
-	return nil
+	return writeDoc(w, out, doc, len(doc.Cells), "repro verified")
 }
 
 // checkClusterDoc validates a cluster benchmark document. Beyond shape,
 // it enforces the scaling contract: per-event cost must not degrade more
 // than 10× between the smallest and largest fleet (the event loop plus
 // incremental aggregation is what keeps it flat).
-func checkClusterDoc(path string, data []byte, w io.Writer) error {
-	var doc ClusterDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if doc.Schema != ClusterSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, ClusterSchema)
-	}
+func checkClusterDoc(path string, doc *ClusterDoc, w io.Writer) error {
 	if len(doc.Cells) < 2 {
 		return fmt.Errorf("%s: %d cells, want at least 2 fleet sizes", path, len(doc.Cells))
-	}
-	if !doc.ReproVerified {
-		return fmt.Errorf("%s: repro_verified is false", path)
 	}
 	for i, c := range doc.Cells {
 		if c.Machines <= 0 || c.Events <= 0 || c.EventsPerSec <= 0 || c.SimSecondsPerSec <= 0 {

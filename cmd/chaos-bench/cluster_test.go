@@ -59,15 +59,15 @@ func TestClusterBenchCheckRejectsBadDocs(t *testing.T) {
 			SimSecondsPerSec: 10, ActiveFraction: 0.2, Digest: digest}
 	}
 	cases := map[string]ClusterDoc{
-		"schema.json": {Schema: "chaos-bench-cluster/v0", ReproVerified: true,
+		"schema.json": {Envelope: Envelope{Schema: "chaos-bench-cluster/v0"}, ReproVerified: true,
 			Cells: []ClusterCell{cell(100, 1e6), cell(1000, 1e6)}},
-		"repro.json": {Schema: ClusterSchema,
+		"repro.json": {Envelope: Envelope{Schema: ClusterSchema},
 			Cells: []ClusterCell{cell(100, 1e6), cell(1000, 1e6)}},
-		"collapse.json": {Schema: ClusterSchema, ReproVerified: true,
+		"collapse.json": {Envelope: Envelope{Schema: ClusterSchema}, ReproVerified: true,
 			Cells: []ClusterCell{cell(100, 1e6), cell(20000, 5e4)}},
-		"onecell.json": {Schema: ClusterSchema, ReproVerified: true,
+		"onecell.json": {Envelope: Envelope{Schema: ClusterSchema}, ReproVerified: true,
 			Cells: []ClusterCell{cell(100, 1e6)}},
-		"unordered.json": {Schema: ClusterSchema, ReproVerified: true,
+		"unordered.json": {Envelope: Envelope{Schema: ClusterSchema}, ReproVerified: true,
 			Cells: []ClusterCell{cell(1000, 1e6), cell(100, 1e6)}},
 	}
 	for name, doc := range cases {

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/cluster"
@@ -23,12 +20,9 @@ const ControlSchema = "chaos-bench-control/v1"
 // the model-predictive controller holds the same racks to 80% of peak
 // and we score it against the simulator's hidden ground-truth meter.
 type ControlDoc struct {
-	Schema         string `json:"schema"`
-	GoVersion      string `json:"go_version"`
-	NumCPU         int    `json:"num_cpu"`
-	Seed           int64  `json:"seed"`
-	SimSeconds     int64  `json:"sim_seconds"`
-	IntervalS      int64  `json:"interval_s"`
+	Envelope
+	SimSeconds     int64   `json:"sim_seconds"`
+	IntervalS      int64   `json:"interval_s"`
 	BudgetFraction float64 `json:"budget_fraction"`
 	// ReproVerified is set after the smallest cell is run twice and both
 	// runs produced identical digests and served-throughput totals.
@@ -254,8 +248,7 @@ func runControlBench(w io.Writer, out string, seed int64, sizes []int, simSecond
 		return err
 	}
 	doc := &ControlDoc{
-		Schema: ControlSchema, GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
-		Seed: seed, SimSeconds: simSeconds,
+		Envelope: newEnvelope(ControlSchema, seed), SimSeconds: simSeconds,
 		IntervalS: ctlIntervalS, BudgetFraction: ctlBudgetFraction,
 	}
 	for _, n := range sizes {
@@ -269,44 +262,23 @@ func runControlBench(w io.Writer, out string, seed int64, sizes []int, simSecond
 	}
 	// Reproducibility: the smallest cell rerun must replay the identical
 	// machine + control record stream.
-	rerun, err := runControlCell(sizes[0], seed, simSeconds, reg)
+	err = verifyRepro(fmt.Sprintf("size %d", sizes[0]), doc.Cells[0].Digest, func() (string, error) {
+		rerun, err := runControlCell(sizes[0], seed, simSeconds, reg)
+		return rerun.Digest, err
+	})
 	if err != nil {
 		return err
-	}
-	if rerun.Digest != doc.Cells[0].Digest {
-		return fmt.Errorf("size %d not reproducible: digest %s then %s",
-			sizes[0], doc.Cells[0].Digest, rerun.Digest)
 	}
 	doc.ReproVerified = true
-
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (%d cells, repro verified)\n", out, len(doc.Cells))
-	return nil
+	return writeDoc(w, out, doc, len(doc.Cells), "repro verified")
 }
 
 // checkControlDoc validates a control benchmark document. Beyond shape,
 // it enforces the control contract the e2e test establishes: high cap
 // compliance without giving up throughput, at every fleet size.
-func checkControlDoc(path string, data []byte, w io.Writer) error {
-	var doc ControlDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if doc.Schema != ControlSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, ControlSchema)
-	}
+func checkControlDoc(path string, doc *ControlDoc, w io.Writer) error {
 	if len(doc.Cells) < 2 {
 		return fmt.Errorf("%s: %d cells, want at least 2 fleet sizes", path, len(doc.Cells))
-	}
-	if !doc.ReproVerified {
-		return fmt.Errorf("%s: repro_verified is false", path)
 	}
 	for i, c := range doc.Cells {
 		if c.Machines <= 0 || c.Budgets <= 0 {

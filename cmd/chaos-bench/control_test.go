@@ -62,17 +62,17 @@ func TestControlBenchCheckRejectsBadDocs(t *testing.T) {
 			Digest: digest}
 	}
 	cases := map[string]ControlDoc{
-		"schema.json": {Schema: "chaos-bench-control/v0", ReproVerified: true,
+		"schema.json": {Envelope: Envelope{Schema: "chaos-bench-control/v0"}, ReproVerified: true,
 			Cells: []ControlCell{cell(100, 100, 0.95), cell(1000, 100, 0.95)}},
-		"repro.json": {Schema: ControlSchema,
+		"repro.json": {Envelope: Envelope{Schema: ControlSchema},
 			Cells: []ControlCell{cell(100, 100, 0.95), cell(1000, 100, 0.95)}},
-		"violations.json": {Schema: ControlSchema, ReproVerified: true,
+		"violations.json": {Envelope: Envelope{Schema: ControlSchema}, ReproVerified: true,
 			Cells: []ControlCell{cell(100, 100, 0.95), cell(1000, 88, 0.95)}},
-		"retention.json": {Schema: ControlSchema, ReproVerified: true,
+		"retention.json": {Envelope: Envelope{Schema: ControlSchema}, ReproVerified: true,
 			Cells: []ControlCell{cell(100, 100, 0.55), cell(1000, 100, 0.95)}},
-		"onecell.json": {Schema: ControlSchema, ReproVerified: true,
+		"onecell.json": {Envelope: Envelope{Schema: ControlSchema}, ReproVerified: true,
 			Cells: []ControlCell{cell(100, 100, 0.95)}},
-		"idle.json": {Schema: ControlSchema, ReproVerified: true,
+		"idle.json": {Envelope: Envelope{Schema: ControlSchema}, ReproVerified: true,
 			Cells: []ControlCell{cell(100, 100, 0.95), func() ControlCell {
 				c := cell(1000, 100, 0.95)
 				c.FreqActuations = 0

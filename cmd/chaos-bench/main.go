@@ -50,12 +50,23 @@ import (
 // Schema identifies the document layout; bump on incompatible change.
 const Schema = "chaos-bench/v1"
 
-// Doc is the benchmark document written to -out.
-type Doc struct {
+// Envelope is the header every benchmark document starts with: the
+// schema it follows, and the toolchain, host and seed it was measured
+// with.
+type Envelope struct {
 	Schema    string `json:"schema"`
 	GoVersion string `json:"go_version"`
 	NumCPU    int    `json:"num_cpu"`
 	Seed      int64  `json:"seed"`
+}
+
+func newEnvelope(schema string, seed int64) Envelope {
+	return Envelope{Schema: schema, GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(), Seed: seed}
+}
+
+// Doc is the benchmark document written to -out.
+type Doc struct {
+	Envelope
 	Platform  string `json:"platform"`
 	Workloads string `json:"workloads"`
 	// WorkloadDigest is the sha256 over the replayed power series for
@@ -104,11 +115,15 @@ func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// defaultOut is -out's default: the serving grid's document. The other
+// modes write their own document unless -out names one.
+const defaultOut = "BENCH_serve.json"
+
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("chaos-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		out       = fs.String("out", "BENCH_serve.json", "write the benchmark document here")
+		out       = fs.String("out", defaultOut, "write the benchmark document here")
 		check     = fs.String("check", "", "validate an existing benchmark document and exit")
 		quick     = fs.Bool("quick", false, "small grid for CI smoke runs")
 		seed      = fs.Int64("seed", 7, "simulation seed (fixes the replayed workload)")
@@ -140,80 +155,53 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *overloadMode {
-		loads, err := parseInts(*overloadLoads)
-		if err == nil {
-			if *quick {
-				loads = firstTwo(loads)
-				if *overloadSecs > 2 {
-					*overloadSecs = 2
-				}
-			}
-			if *out == "BENCH_serve.json" {
-				*out = "BENCH_overload.json"
-			}
-			err = runOverloadBench(stdout, *out, *seed, loads, *overloadSecs)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "chaos-bench:", err)
-			return 1
-		}
-		return 0
+	// The first mode switched on runs; the serving grid, always on, is
+	// the default. Each mode trims its list and per-cell duration under
+	// -quick and writes its own document unless -out names one.
+	type mode struct {
+		on    bool
+		list  string
+		out   string
+		quick func([]int) []int
+		run   func(out string, xs []int) error
 	}
-	if *controlMode {
-		sizes, err := parseInts(*controlMs)
-		if err == nil {
-			if *quick {
-				if len(sizes) > 2 {
-					sizes = sizes[:2]
+	modes := []mode{
+		{*overloadMode, *overloadLoads, "BENCH_overload.json",
+			func(xs []int) []int { *overloadSecs = min(*overloadSecs, 2); return firstTwo(xs) },
+			func(out string, xs []int) error { return runOverloadBench(stdout, out, *seed, xs, *overloadSecs) }},
+		{*controlMode, *controlMs, "BENCH_control.json",
+			func(xs []int) []int { *controlSecs = min(*controlSecs, 300); return xs[:min(len(xs), 2)] },
+			func(out string, xs []int) error { return runControlBench(stdout, out, *seed, xs, *controlSecs) }},
+		{*clusterMode, *clusterMs, "BENCH_cluster.json",
+			func(xs []int) []int { *simSeconds = min(*simSeconds, 300); return xs[:min(len(xs), 2)] },
+			func(out string, xs []int) error { return runClusterBench(stdout, out, *seed, xs, *simSeconds) }},
+		{true, *machines, defaultOut,
+			func(ms []int) []int { *snapshots = min(*snapshots, 300); return ms[:1] },
+			func(out string, ms []int) error {
+				bs, err := parseInts(*batches)
+				if err != nil {
+					return err
 				}
-				if *controlSecs > 300 {
-					*controlSecs = 300
+				if *quick {
+					bs = firstTwo(bs)
 				}
-			}
-			if *out == "BENCH_serve.json" {
-				*out = "BENCH_control.json"
-			}
-			err = runControlBench(stdout, *out, *seed, sizes, *controlSecs)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "chaos-bench:", err)
-			return 1
-		}
-		return 0
+				return runBench(stdout, out, *seed, ms, bs, *snapshots, *platform, *workloads)
+			}},
 	}
-	if *clusterMode {
-		sizes, err := parseInts(*clusterMs)
-		if err == nil {
-			if *quick {
-				if len(sizes) > 2 {
-					sizes = sizes[:2]
-				}
-				if *simSeconds > 300 {
-					*simSeconds = 300
-				}
-			}
-			if *out == "BENCH_serve.json" {
-				*out = "BENCH_cluster.json"
-			}
-			err = runClusterBench(stdout, *out, *seed, sizes, *simSeconds)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "chaos-bench:", err)
-			return 1
-		}
-		return 0
+	i := 0
+	for !modes[i].on {
+		i++
 	}
-	ms, err := parseInts(*machines)
+	m := modes[i]
+	xs, err := parseInts(m.list)
 	if err == nil {
-		var bs []int
-		if bs, err = parseInts(*batches); err == nil {
-			if *quick {
-				ms, bs = ms[:1], firstTwo(bs)
-				*snapshots = min(*snapshots, 300)
-			}
-			err = runBench(stdout, *out, *seed, ms, bs, *snapshots, *platform, *workloads)
+		if *quick {
+			xs = m.quick(xs)
 		}
+		if *out == defaultOut {
+			*out = m.out
+		}
+		err = m.run(*out, xs)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "chaos-bench:", err)
@@ -240,13 +228,6 @@ func firstTwo(xs []int) []int {
 		return []int{xs[0], xs[len(xs)-1]}
 	}
 	return xs
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // simulate builds the fixed-seed replay substrate for one cluster size
@@ -326,23 +307,16 @@ func measure(addr string, traces []*trace.Trace, batch, snapshots int) (*serve.L
 		return nil, 0, err
 	}
 	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(maxInt(stats.Samples, 1))
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(max(stats.Samples, 1))
 	return stats, allocs, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func runBench(w io.Writer, out string, seed int64, ms, bs []int, snapshots int, platform, workloadCSV string) error {
 	workloads := strings.Split(workloadCSV, ",")
 	digest := newDigest()
 	doc := &Doc{
-		Schema: Schema, GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
-		Seed: seed, Platform: platform, Workloads: workloadCSV, Snapshots: snapshots,
+		Envelope: newEnvelope(Schema, seed),
+		Platform: platform, Workloads: workloadCSV, Snapshots: snapshots,
 	}
 
 	type sized struct {
@@ -431,16 +405,7 @@ func runBench(w io.Writer, out string, seed int64, ms, bs []int, snapshots int, 
 	fmt.Fprintf(w, "tracing overhead at machines=%d batch=%d: %.1f%% (%.0f -> %.0f est/s)\n",
 		om, ob, doc.TraceOverhead.OverheadPct, pair[0], pair[1])
 
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (%d cells, digest %s)\n", out, len(doc.Cells), doc.WorkloadDigest[:12])
-	return nil
+	return writeDoc(w, out, doc, len(doc.Cells), "digest "+doc.WorkloadDigest[:12])
 }
 
 func midBatch(bs []int) int {
@@ -455,38 +420,88 @@ func midBatch(bs []int) int {
 func round1(v float64) float64        { return math.Round(v*10) / 10 }
 func roundMs(d time.Duration) float64 { return math.Round(d.Seconds()*1e5) / 100 }
 
-// checkDoc validates a benchmark document: schema version, grid
-// coverage, and sane measurements. CI runs it against both the committed
-// file and fresh -quick output. The document's schema field picks the
-// validator: serving documents here, cluster documents in
-// checkClusterDoc.
+// writeDoc writes doc to out as indented JSON and reports the file.
+func writeDoc(w io.Writer, out string, doc any, cells int, note string) error {
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s (%d cells, %s)\n", out, cells, note)
+	return nil
+}
+
+// verifyRepro reruns a document's smallest cell and requires the rerun
+// to reproduce the first run's digest bit for bit; what names the cell.
+func verifyRepro(what, digest string, rerun func() (string, error)) error {
+	again, err := rerun()
+	if err != nil {
+		return err
+	}
+	if again != digest {
+		return fmt.Errorf("%s not reproducible: digest %s then %s", what, digest, again)
+	}
+	return nil
+}
+
+// contracts maps each schema to its own contract check, and records
+// whether its documents carry a repro_verified proof.
+var contracts = map[string]struct {
+	repro bool
+	check func(path string, data []byte, w io.Writer) error
+}{
+	Schema:         {false, contract(checkServeDoc)},
+	ClusterSchema:  {true, contract(checkClusterDoc)},
+	ControlSchema:  {true, contract(checkControlDoc)},
+	OverloadSchema: {true, contract(checkOverloadDoc)},
+}
+
+// contract adapts a schema's typed contract check to the raw document.
+func contract[D any](check func(path string, doc *D, w io.Writer) error) func(string, []byte, io.Writer) error {
+	return func(path string, data []byte, w io.Writer) error {
+		var doc D
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		return check(path, &doc, w)
+	}
+}
+
+// checkDoc validates a benchmark document. CI runs it against both the
+// committed files and fresh -quick output. The envelope checks every
+// schema shares run here — a known schema, at least one cell, and the
+// repro proof where the schema has one — then the document's schema
+// picks its contract check.
 func checkDoc(path string, w io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var probe struct {
-		Schema string `json:"schema"`
+	var env struct {
+		Envelope
+		ReproVerified bool              `json:"repro_verified"`
+		Cells         []json.RawMessage `json:"cells"`
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	if err := json.Unmarshal(data, &env); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if probe.Schema == ClusterSchema {
-		return checkClusterDoc(path, data, w)
+	c, ok := contracts[env.Schema]
+	switch {
+	case !ok:
+		return fmt.Errorf("%s: unknown schema %q", path, env.Schema)
+	case len(env.Cells) == 0:
+		return fmt.Errorf("%s: no cells", path)
+	case c.repro && !env.ReproVerified:
+		return fmt.Errorf("%s: repro_verified is false", path)
 	}
-	if probe.Schema == ControlSchema {
-		return checkControlDoc(path, data, w)
-	}
-	if probe.Schema == OverloadSchema {
-		return checkOverloadDoc(path, data, w)
-	}
-	var doc Doc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if doc.Schema != Schema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, Schema)
-	}
+	return c.check(path, data, w)
+}
+
+// checkServeDoc is the serving grid's contract: a workload digest, and
+// every cell with throughput, an ordered tail and no failed snapshots.
+func checkServeDoc(path string, doc *Doc, w io.Writer) error {
 	if len(doc.WorkloadDigest) != 64 {
 		return fmt.Errorf("%s: missing workload digest", path)
 	}

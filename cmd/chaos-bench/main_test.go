@@ -89,8 +89,8 @@ func TestBenchDigestReproducible(t *testing.T) {
 	}
 }
 
-// TestBenchCheckRejectsBadDocs: -check must fail on schema drift and on
-// cells that record failures.
+// TestBenchCheckRejectsBadDocs: -check must fail on schema drift, on
+// cells that record failures, and on a document with no cells.
 func TestBenchCheckRejectsBadDocs(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, doc Doc) string {
@@ -104,12 +104,13 @@ func TestBenchCheckRejectsBadDocs(t *testing.T) {
 	digest := strings.Repeat("ab", 32)
 	good := Cell{Machines: 3, Batch: 1, Snapshots: 10, EstimatesPerSec: 100, P50Ms: 1, P99Ms: 2}
 	cases := map[string]Doc{
-		"schema.json": {Schema: "chaos-bench/v0", WorkloadDigest: digest, Cells: []Cell{good}},
-		"digest.json": {Schema: Schema, Cells: []Cell{good}},
-		"failed.json": {Schema: Schema, WorkloadDigest: digest,
+		"schema.json": {Envelope: Envelope{Schema: "chaos-bench/v0"}, WorkloadDigest: digest, Cells: []Cell{good}},
+		"digest.json": {Envelope: Envelope{Schema: Schema}, Cells: []Cell{good}},
+		"failed.json": {Envelope: Envelope{Schema: Schema}, WorkloadDigest: digest,
 			Cells: []Cell{{Machines: 3, Batch: 1, Snapshots: 10, EstimatesPerSec: 100, Failed: 2}}},
-		"tail.json": {Schema: Schema, WorkloadDigest: digest,
+		"tail.json": {Envelope: Envelope{Schema: Schema}, WorkloadDigest: digest,
 			Cells: []Cell{{Machines: 3, Batch: 1, Snapshots: 10, EstimatesPerSec: 100, P50Ms: 5, P99Ms: 1}}},
+		"empty.json": {Envelope: Envelope{Schema: Schema}, WorkloadDigest: digest, Cells: []Cell{}},
 	}
 	for name, doc := range cases {
 		var stdout, stderr bytes.Buffer

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/overload"
@@ -39,10 +36,7 @@ func overloadCapacity() int {
 // OverloadDoc is the overload benchmark document: per-priority goodput
 // and tail latency at fixed multiples of pinned engine capacity.
 type OverloadDoc struct {
-	Schema    string `json:"schema"`
-	GoVersion string `json:"go_version"`
-	NumCPU    int    `json:"num_cpu"`
-	Seed      int64  `json:"seed"`
+	Envelope
 	// CapacityPerSec is the pinned engine drain rate every load multiple
 	// is relative to.
 	CapacityPerSec int     `json:"capacity_per_sec"`
@@ -185,8 +179,7 @@ func runOverloadBench(w io.Writer, out string, seed int64, loads []int, seconds 
 	}
 
 	doc := &OverloadDoc{
-		Schema: OverloadSchema, GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
-		Seed: seed, CapacityPerSec: overloadCapacity(),
+		Envelope: newEnvelope(OverloadSchema, seed), CapacityPerSec: overloadCapacity(),
 		DeadlineMS: overloadDeadline.Seconds() * 1e3,
 		Weights:    overloadWeights, Seconds: seconds,
 	}
@@ -203,26 +196,15 @@ func runOverloadBench(w io.Writer, out string, seed int64, loads []int, seconds 
 
 	// Reproducibility: the smallest cell rerun must offer the identical
 	// workload — same surge pacing, same per-tier split, same digest.
-	rerun, err := runOverloadCell(reg, traces[0].Names, traces, seed, loads[0], seconds)
+	err = verifyRepro(fmt.Sprintf("load %dx", loads[0]), doc.Cells[0].Digest, func() (string, error) {
+		rerun, err := runOverloadCell(reg, traces[0].Names, traces, seed, loads[0], seconds)
+		return rerun.Digest, err
+	})
 	if err != nil {
 		return err
-	}
-	if rerun.Digest != doc.Cells[0].Digest {
-		return fmt.Errorf("load %dx not reproducible: digest %s then %s",
-			loads[0], doc.Cells[0].Digest, rerun.Digest)
 	}
 	doc.ReproVerified = true
-
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (%d cells, repro verified)\n", out, len(doc.Cells))
-	return nil
+	return writeDoc(w, out, doc, len(doc.Cells), "repro verified")
 }
 
 // checkOverloadDoc validates an overload benchmark document. Beyond
@@ -230,17 +212,7 @@ func runOverloadBench(w io.Writer, out string, seed int64, loads []int, seconds 
 // at the heaviest load the interactive tier must survive at a strictly
 // higher rate than background, and no cell may record a priority
 // inversion or a transport failure.
-func checkOverloadDoc(path string, data []byte, w io.Writer) error {
-	var doc OverloadDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if doc.Schema != OverloadSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, OverloadSchema)
-	}
-	if !doc.ReproVerified {
-		return fmt.Errorf("%s: repro_verified is false", path)
-	}
+func checkOverloadDoc(path string, doc *OverloadDoc, w io.Writer) error {
 	if len(doc.Cells) < 2 {
 		return fmt.Errorf("%s: %d cells, want at least 2 load multiples", path, len(doc.Cells))
 	}

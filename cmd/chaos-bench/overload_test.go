@@ -73,16 +73,16 @@ func TestOverloadBenchCheckRejectsBadDocs(t *testing.T) {
 		}
 	}
 	good := func() OverloadDoc {
-		return OverloadDoc{Schema: OverloadSchema, CapacityPerSec: 800, ReproVerified: true,
+		return OverloadDoc{Envelope: Envelope{Schema: OverloadSchema}, CapacityPerSec: 800, ReproVerified: true,
 			Cells: []OverloadCell{cell(1, 200, 790), cell(5, 190, 80)}}
 	}
 	cases := map[string]OverloadDoc{
 		"schema.json": func() OverloadDoc { d := good(); d.Schema = "chaos-bench-overload/v0"; return d }(),
 		"repro.json":  func() OverloadDoc { d := good(); d.ReproVerified = false; return d }(),
-		"onecell.json": {Schema: OverloadSchema, CapacityPerSec: 800, ReproVerified: true,
+		"onecell.json": {Envelope: Envelope{Schema: OverloadSchema}, CapacityPerSec: 800, ReproVerified: true,
 			Cells: []OverloadCell{cell(5, 190, 80)}},
 		"inversion.json": func() OverloadDoc { d := good(); d.Cells[1].Inversions = 3; return d }(),
-		"lightload.json": {Schema: OverloadSchema, CapacityPerSec: 800, ReproVerified: true,
+		"lightload.json": {Envelope: Envelope{Schema: OverloadSchema}, CapacityPerSec: 800, ReproVerified: true,
 			Cells: []OverloadCell{cell(1, 200, 790), cell(2, 190, 80)}},
 		"noprotection.json": func() OverloadDoc {
 			d := good()

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/overload"
@@ -192,7 +193,7 @@ func (n *Node) gatherLocal(samples []serve.SampleJSON, budget time.Duration, pri
 	for i, s := range samples {
 		in[i] = online.Sample{MachineID: s.MachineID, Platform: s.Platform, Counters: s.Counters}
 	}
-	res, err := n.cfg.Local.EstimatePriority(in, budget, nil, nil, overload.ParsePriority(prio))
+	res, err := n.cfg.Local.Estimate(serve.Request{Samples: in, Deadline: budget, Priority: overload.ParsePriority(prio)})
 	if res != nil {
 		pr.perMach = res.PerMachine
 		pr.versions = res.Versions
@@ -202,6 +203,10 @@ func (n *Node) gatherLocal(samples []serve.SampleJSON, budget time.Duration, pri
 	}
 	return pr
 }
+
+// hedgeWarmup is how many latencies a peer's window needs before its
+// quantile arms hedges; below this, hedging stays disarmed.
+const hedgeWarmup = 8
 
 // attempt is one call's outcome plus what hedging needs to pick a winner.
 type attempt struct {
@@ -228,8 +233,8 @@ func (n *Node) gatherRemote(peerID string, samples []serve.SampleJSON, sub time.
 	// so a hedge always has at least half the sub-deadline to finish.
 	var hedgeDelay time.Duration
 	if n.hedge != nil {
-		if tr := n.trackers[peerID]; tr != nil {
-			if q := tr.Quantile(n.cfg.HedgeQuantile); q > 0 {
+		if tr := n.trackers[peerID]; tr != nil && tr.Count() >= hedgeWarmup {
+			if q := tr.Quantile(n.cfg.HedgeQuantile, 0); q > 0 {
 				hedgeDelay = q
 				if hedgeDelay < time.Millisecond {
 					hedgeDelay = time.Millisecond
@@ -401,14 +406,14 @@ func (n *Node) callPeer(ctx context.Context, peerID string, samples []serve.Samp
 }
 
 // ok and fail update breaker plus health gauge together.
-func (n *Node) ok(peerID string, brk *Breaker) {
+func (n *Node) ok(peerID string, brk *faults.Breaker) {
 	if brk != nil {
 		brk.Success()
 	}
 	n.notePeer(peerID, true)
 }
 
-func (n *Node) fail(peerID string, brk *Breaker) {
+func (n *Node) fail(peerID string, brk *faults.Breaker) {
 	if brk != nil {
 		brk.Failure()
 	}

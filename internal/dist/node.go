@@ -75,7 +75,7 @@ type Node struct {
 	// timer; one token bucket bounds total hedge volume; callSeq
 	// decorrelates injected latency draws between a primary and its
 	// hedge.
-	trackers map[string]*overload.LatencyTracker
+	trackers map[string]*obs.LatencyWindow
 	hedge    *overload.HedgeBudget
 	callSeq  atomic.Uint64
 	hWon     atomic.Uint64
@@ -83,7 +83,7 @@ type Node struct {
 	hDenied  atomic.Uint64
 
 	mu       sync.Mutex
-	breakers map[string]*Breaker
+	breakers map[string]*faults.Breaker
 	lastUp   map[string]bool
 }
 
@@ -132,8 +132,8 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		part:     part,
 		start:    time.Now(),
-		trackers: map[string]*overload.LatencyTracker{},
-		breakers: map[string]*Breaker{},
+		trackers: map[string]*obs.LatencyWindow{},
+		breakers: map[string]*faults.Breaker{},
 		lastUp:   map[string]bool{},
 	}
 	if cfg.HedgeQuantile > 0 && cfg.HedgeRate > 0 {
@@ -143,9 +143,9 @@ func NewNode(cfg Config) (*Node, error) {
 		if p.ID == cfg.Self {
 			continue
 		}
-		n.breakers[p.ID] = NewBreaker(cfg.FailThreshold, cfg.Cooldown, nil)
+		n.breakers[p.ID] = faults.NewBreaker(cfg.FailThreshold, cfg.Cooldown, nil)
 		n.lastUp[p.ID] = true
-		n.trackers[p.ID] = overload.NewLatencyTracker(0)
+		n.trackers[p.ID] = obs.NewLatencyWindow(0)
 		peerUpGauge(p.ID).Set(1)
 	}
 	return n, nil
@@ -165,7 +165,7 @@ func (n *Node) Mount(mux *http.ServeMux) {
 func (n *Node) simSecond() int { return int(time.Since(n.start) / time.Second) }
 
 // breaker returns the peer's breaker (nil for self).
-func (n *Node) breaker(peerID string) *Breaker {
+func (n *Node) breaker(peerID string) *faults.Breaker {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.breakers[peerID]

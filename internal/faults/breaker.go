@@ -1,17 +1,17 @@
-package dist
+package faults
 
 import (
 	"sync"
 	"time"
 )
 
-// Breaker is a wall-clock circuit breaker guarding calls to one peer —
-// the same closed / open / half-open discipline faults.Collector applies
-// in simulation time. After FailThreshold consecutive failures the
-// breaker opens for Cooldown: every scatter-gather in that window skips
-// the peer outright, so a dead node costs the fleet one timeout, not one
-// per request. After the cooldown a single probe call decides between
-// closing and another cooldown.
+// Breaker is the circuit breaker every resilient caller shares: a
+// resilient Collector guards one machine with it in simulated seconds,
+// and a dist node guards each peer with it on the wall clock. After
+// FailThreshold consecutive failures the breaker opens for Cooldown and
+// every call in that window is refused outright, so a dead dependency
+// costs one timeout, not one per call. After the cooldown a single probe
+// call decides between closing and another cooldown.
 type Breaker struct {
 	failThreshold int
 	cooldown      time.Duration
@@ -24,7 +24,9 @@ type Breaker struct {
 	probing     bool
 }
 
-// NewBreaker builds a breaker; now may be nil (wall clock).
+// NewBreaker builds a breaker reading time from now (nil means the wall
+// clock). A non-positive threshold defaults to 3, a non-positive
+// cooldown to 5 s.
 func NewBreaker(failThreshold int, cooldown time.Duration, now func() time.Time) *Breaker {
 	if failThreshold <= 0 {
 		failThreshold = 3
@@ -74,6 +76,14 @@ func (b *Breaker) Failure() {
 		b.open = true
 		b.probeAt = b.now().Add(b.cooldown)
 	}
+}
+
+// abandon releases an admitted probe whose call ended without an
+// outcome, leaving the breaker as it was before Allow.
+func (b *Breaker) abandon() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
 }
 
 // State reports "closed", "open", or "half-open" (cooldown elapsed, next

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"repro/internal/counters"
 	"repro/internal/mathx"
@@ -66,7 +67,7 @@ func (p RetryPolicy) BackoffFor(seed int64, machine string, attempt int) float64
 	return base * (1 + p.Jitter*r.Float64())
 }
 
-// BreakerConfig is the circuit breaker guarding one machine's collector:
+// BreakerConfig configures the Breaker guarding one machine's collector:
 // after FailThreshold consecutive failed seconds the machine is
 // quarantined (no attempts at all) for CooldownSeconds, then a single
 // half-open probe decides between closing and another cooldown.
@@ -101,12 +102,10 @@ type Collector struct {
 	machine string
 	inj     *Injector
 	retry   RetryPolicy
-	brk     BreakerConfig
 
-	mu          sync.Mutex
-	consecFails int
-	open        bool
-	probeAt     int // when open: first second allowed a half-open probe
+	mu  sync.Mutex
+	sec int // the second being collected: the breaker's clock
+	brk *Breaker
 }
 
 // NewCollector builds a resilient collector for one machine. Zero-valued
@@ -133,7 +132,10 @@ func NewCollector(machine string, inj *Injector, retry RetryPolicy, brk BreakerC
 	if brk.CooldownSeconds <= 0 {
 		brk.CooldownSeconds = DefaultBreaker().CooldownSeconds
 	}
-	return &Collector{machine: machine, inj: inj, retry: retry, brk: brk}, nil
+	c := &Collector{machine: machine, inj: inj, retry: retry}
+	c.brk = NewBreaker(brk.FailThreshold, time.Duration(brk.CooldownSeconds)*time.Second,
+		func() time.Time { return time.Unix(int64(c.sec), 0) })
+	return c, nil
 }
 
 // State reports the breaker state at second t: "closed", "open", or
@@ -141,14 +143,8 @@ func NewCollector(machine string, inj *Injector, retry RetryPolicy, brk BreakerC
 func (c *Collector) State(t int) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case !c.open:
-		return "closed"
-	case t >= c.probeAt:
-		return "half-open"
-	default:
-		return "open"
-	}
+	c.sec = t
+	return c.brk.State()
 }
 
 // Collect runs one second of fault-aware collection: fetch pulls the real
@@ -158,10 +154,11 @@ func (c *Collector) State(t int) string {
 func (c *Collector) Collect(t int, fetch func() ([]float64, error)) (Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.sec = t
 	var res Result
 	maxAttempts := c.retry.MaxAttempts
-	if c.open {
-		if t < c.probeAt {
+	if c.brk.State() != "closed" {
+		if !c.brk.Allow() {
 			res.Quarantined = true
 			samplesDropped.Inc()
 			return res, nil
@@ -171,7 +168,7 @@ func (c *Collector) Collect(t int, fetch func() ([]float64, error)) (Result, err
 	if c.inj.Down(c.machine, t) {
 		res.Down = true
 		injected("crash")
-		c.fail(t)
+		c.brk.Failure()
 		samplesDropped.Inc()
 		return res, nil
 	}
@@ -191,27 +188,18 @@ func (c *Collector) Collect(t int, fetch func() ([]float64, error)) (Result, err
 		}
 		row, err := fetch()
 		if err != nil {
+			c.brk.abandon()
 			return res, err
 		}
 		tr := c.inj.Transform(c.machine, t, row)
 		res.Row, res.OK = row, true
 		res.Stuck, res.Corrupted = tr.Stuck, tr.Corrupted
-		c.consecFails = 0
-		c.open = false
+		c.brk.Success()
 		return res, nil
 	}
-	c.fail(t)
+	c.brk.Failure()
 	samplesDropped.Inc()
 	return res, nil
-}
-
-// fail records one failed second and opens (or re-arms) the breaker.
-func (c *Collector) fail(t int) {
-	c.consecFails++
-	if c.open || c.consecFails >= c.brk.FailThreshold {
-		c.open = true
-		c.probeAt = t + c.brk.CooldownSeconds
-	}
 }
 
 // TelemetryFetch adapts a live telemetry.Collector into the fetch

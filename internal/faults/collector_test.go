@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/counters"
@@ -155,6 +156,93 @@ func TestFaultCollectorBreakerQuarantineAndRecovery(t *testing.T) {
 	}
 	if st := c.State(recoveredAt); st != "closed" {
 		t.Fatalf("breaker %s after recovery", st)
+	}
+}
+
+// TestFaultCollectorHalfOpenProbeSingleAttempt: with every attempt
+// dropped, closed seconds spend the full retry budget until the breaker
+// opens; the half-open probe second then makes exactly one attempt even
+// though MaxAttempts allows three, and the failed probe re-quarantines
+// the machine with zero attempts.
+func TestFaultCollectorHalfOpenProbeSingleAttempt(t *testing.T) {
+	inj, err := NewInjector(&Scenario{Defaults: MachineFaults{DropProb: 1}}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk := BreakerConfig{FailThreshold: 2, CooldownSeconds: 4}
+	retry := RetryPolicy{MaxAttempts: 3, BackoffMS: 1, TimeoutMS: 500, AttemptCostMS: 1}
+	c, err := NewCollector("m0", inj, retry, brk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := 0
+	for ; c.State(sec) == "closed"; sec++ {
+		res, err := c.Collect(sec, okFetch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OK || res.Attempts != retry.MaxAttempts {
+			t.Fatalf("closed second %d: %+v, want %d dropped attempts", sec, res, retry.MaxAttempts)
+		}
+	}
+	if sec != brk.FailThreshold {
+		t.Fatalf("breaker opened after %d failed seconds, want %d", sec, brk.FailThreshold)
+	}
+	probe := sec - 1 + brk.CooldownSeconds
+	if st := c.State(probe); st != "half-open" {
+		t.Fatalf("state at second %d = %s, want half-open", probe, st)
+	}
+	res, err := c.Collect(probe, okFetch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Quarantined || res.OK || res.Attempts != 1 {
+		t.Fatalf("probe second %d: %+v, want exactly one failed attempt", probe, res)
+	}
+	res, err = c.Collect(probe+1, okFetch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Quarantined || res.Attempts != 0 {
+		t.Fatalf("second %d after a failed probe: %+v, want quarantined with 0 attempts", probe+1, res)
+	}
+}
+
+// TestFaultCollectorProbeFetchErrorKeepsProbing: a real fetch error on
+// the half-open probe second is returned to the caller without settling
+// the breaker, so the next second probes again instead of staying
+// quarantined.
+func TestFaultCollectorProbeFetchErrorKeepsProbing(t *testing.T) {
+	inj, err := NewInjector(&Scenario{
+		Crashes: []Crash{{Machine: "m0", AtS: 0, DowntimeS: 2}},
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk := BreakerConfig{FailThreshold: 2, CooldownSeconds: 4}
+	c, err := NewCollector("m0", inj, DefaultRetry(), brk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sec := 0; sec < 2; sec++ {
+		if res, err := c.Collect(sec, okFetch); err != nil || !res.Down {
+			t.Fatalf("second %d: %+v, %v, want Down", sec, res, err)
+		}
+	}
+	probe := 1 + brk.CooldownSeconds
+	errFetch := func() ([]float64, error) { return nil, errors.New("sensor read failed") }
+	if _, err := c.Collect(probe, errFetch); err == nil {
+		t.Fatal("fetch error on the probe second was swallowed")
+	}
+	res, err := c.Collect(probe+1, okFetch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK || res.Attempts != 1 {
+		t.Fatalf("second %d after an aborted probe: %+v, want one successful probe", probe+1, res)
+	}
+	if st := c.State(probe + 1); st != "closed" {
+		t.Fatalf("breaker %s after a successful probe", st)
 	}
 }
 

@@ -104,7 +104,7 @@ func feedOne(t *testing.T, st *stack, i int, label func(a, b float64) float64) {
 	for j, s := range samples {
 		metered[j] = label(s.Counters[0], s.Counters[1])
 	}
-	if _, err := st.srv.Estimate(samples, 5*time.Second, metered); err != nil {
+	if _, err := st.srv.Estimate(serve.Request{Samples: samples, Deadline: 5 * time.Second, Metered: metered}); err != nil {
 		t.Fatalf("feeder estimate %d: %v", i, err)
 	}
 }
@@ -164,9 +164,9 @@ func TestLifecycleDriftRetrainPromote(t *testing.T) {
 				default:
 				}
 				ctrs := []float64{float64(i % 9), float64((i * 7) % 5)}
-				res, err := st.srv.Estimate([]online.Sample{
+				res, err := st.srv.Estimate(serve.Request{Samples: []online.Sample{
 					{MachineID: id, Platform: "p", Counters: ctrs},
-				}, 5*time.Second, nil)
+				}, Deadline: 5 * time.Second})
 				if err != nil {
 					failures.Add(1)
 					return

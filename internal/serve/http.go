@@ -296,7 +296,7 @@ func (s *Server) estimateOnce(req EstimateRequest, deadline time.Duration, at *o
 	if req.Priority != "" {
 		prio = overload.ParsePriority(req.Priority)
 	}
-	res, err := s.EstimatePriority(samples, deadline, metered, at, prio)
+	res, err := s.Estimate(Request{Samples: samples, Deadline: deadline, Metered: metered, Trace: at, Priority: prio})
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		resp := EstimateResponse{Status: http.StatusTooManyRequests, Error: err.Error()}

@@ -330,29 +330,32 @@ func (s *Server) shardFor(machineID string) *shard {
 	return s.shards[int(h.Sum32())%len(s.shards)]
 }
 
-// Estimate runs one cluster snapshot — one sample per machine — through
-// the sharded pool and gathers the per-machine watts. It returns the
-// summed cluster estimate, the per-machine map, and the model version(s)
-// used. Queue overflow surfaces as ErrOverloaded, an expired deadline as
-// ErrDeadline.
-func (s *Server) Estimate(samples []online.Sample, deadline time.Duration, metered []float64) (*Result, error) {
-	return s.EstimateTraced(samples, deadline, metered, nil)
+// Request is one cluster snapshot — one sample per machine — for
+// Estimate. Only Samples is required.
+type Request struct {
+	Samples []online.Sample
+	// Deadline bounds the whole snapshot; <= 0 takes Config.Deadline.
+	Deadline time.Duration
+	// Metered, when it holds one reading per sample, feeds the drift
+	// monitor, the shadow score, and the labeled-snapshot hook.
+	Metered []float64
+	// Trace, when set, rides along with each queued task: the shard
+	// workers record queue/batch/predict spans into it as the sample
+	// moves through the pipeline.
+	Trace *obs.ActiveTrace
+	// Priority is the admission class; the zero value is Interactive.
+	Priority overload.Priority
 }
 
-// EstimateTraced is Estimate with a request trace riding along: each
-// queued task carries the trace, and the shard workers record
-// queue/batch/predict spans into it as the sample moves through the
-// pipeline. at may be nil (untraced). The request is admitted at
-// Interactive priority.
-func (s *Server) EstimateTraced(samples []online.Sample, deadline time.Duration, metered []float64, at *obs.ActiveTrace) (*Result, error) {
-	return s.EstimatePriority(samples, deadline, metered, at, overload.Interactive)
-}
-
-// EstimatePriority is EstimateTraced with an explicit priority class.
-// With adaptive admission enabled the whole snapshot is admitted or shed
+// Estimate runs one cluster snapshot through the sharded pool and
+// gathers the per-machine watts. It returns the summed cluster estimate,
+// the per-machine map, and the model version(s) used. Queue overflow
+// surfaces as ErrOverloaded, an expired deadline as ErrDeadline. With
+// adaptive admission enabled the whole snapshot is admitted or shed
 // atomically against each touched shard's limiter, so a partially-shed
 // request never burns predictor capacity on samples it cannot answer.
-func (s *Server) EstimatePriority(samples []online.Sample, deadline time.Duration, metered []float64, at *obs.ActiveTrace, prio overload.Priority) (*Result, error) {
+func (s *Server) Estimate(req Request) (*Result, error) {
+	samples, deadline, at, prio := req.Samples, req.Deadline, req.Trace, req.Priority
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("serve: no samples")
 	}
@@ -453,7 +456,7 @@ func (s *Server) EstimatePriority(samples []online.Sample, deadline time.Duratio
 	if res.Err != nil {
 		return res, res.Err
 	}
-	s.observe(res, samples, metered, shadowSum, shadowN)
+	s.observe(res, samples, req.Metered, shadowSum, shadowN)
 	return res, nil
 }
 

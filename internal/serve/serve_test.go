@@ -158,7 +158,7 @@ func TestServeEstimateBadRequests(t *testing.T) {
 	}
 	// Non-finite counters cannot travel as JSON (the encoder rejects NaN),
 	// but the engine must still reject them for direct callers.
-	if _, err := s.Estimate([]online.Sample{{MachineID: "m", Platform: "p", Counters: []float64{math.NaN(), 1}}}, 0, nil); err == nil {
+	if _, err := s.Estimate(Request{Samples: []online.Sample{{MachineID: "m", Platform: "p", Counters: []float64{math.NaN(), 1}}}}); err == nil {
 		t.Error("non-finite counters should be rejected by the engine")
 	}
 	// Garbage body.
@@ -595,7 +595,7 @@ func TestServeCloseAnswersQueued(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := s.Estimate([]online.Sample{{MachineID: fmt.Sprintf("m%d", i), Platform: "p", Counters: []float64{1, 1}}}, 0, nil)
+			res, err := s.Estimate(Request{Samples: []online.Sample{{MachineID: fmt.Sprintf("m%d", i), Platform: "p", Counters: []float64{1, 1}}}})
 			if err != nil {
 				errs <- err
 				return
@@ -612,7 +612,7 @@ func TestServeCloseAnswersQueued(t *testing.T) {
 		t.Error(err)
 	}
 	// After close, estimates fail fast rather than deadlocking.
-	if _, err := s.Estimate([]online.Sample{{MachineID: "m", Platform: "p", Counters: []float64{1, 1}}}, 0, nil); err == nil {
+	if _, err := s.Estimate(Request{Samples: []online.Sample{{MachineID: "m", Platform: "p", Counters: []float64{1, 1}}}}); err == nil {
 		t.Error("estimate after Close should fail")
 	}
 }
@@ -660,7 +660,7 @@ func TestLifecycleShadowMirrorInvisible(t *testing.T) {
 		t.Fatalf("shadow version = %q, want v2", s.ShadowVersion())
 	}
 
-	res, err := s.Estimate(samples, time.Second, metered)
+	res, err := s.Estimate(Request{Samples: samples, Deadline: time.Second, Metered: metered})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +682,7 @@ func TestLifecycleShadowMirrorInvisible(t *testing.T) {
 	mu.Unlock()
 
 	// Unmetered traffic mirrors silently: no observation, no label.
-	if _, err := s.Estimate(samples, time.Second, nil); err != nil {
+	if _, err := s.Estimate(Request{Samples: samples, Deadline: time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	// After StopShadow the mirror is gone.
@@ -690,7 +690,7 @@ func TestLifecycleShadowMirrorInvisible(t *testing.T) {
 	if s.ShadowVersion() != "" {
 		t.Fatalf("shadow version = %q after StopShadow", s.ShadowVersion())
 	}
-	if _, err := s.Estimate(samples, time.Second, metered); err != nil {
+	if _, err := s.Estimate(Request{Samples: samples, Deadline: time.Second, Metered: metered}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -734,7 +734,7 @@ func TestLifecycleShadowMirrorUnderSwap(t *testing.T) {
 				default:
 				}
 				samples := []online.Sample{{MachineID: id, Platform: "p", Counters: []float64{float64(i % 7), 1}}}
-				if _, err := s.Estimate(samples, 5*time.Second, []float64{15}); err != nil {
+				if _, err := s.Estimate(Request{Samples: samples, Deadline: 5 * time.Second, Metered: []float64{15}}); err != nil {
 					t.Errorf("estimate under mirror+swap: %v", err)
 					return
 				}
