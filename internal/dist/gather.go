@@ -69,12 +69,12 @@ type peerResult struct {
 // with per-peer deadlines, and merge whatever came back.
 func (n *Node) handleCluster(w http.ResponseWriter, r *http.Request) {
 	var req serve.EstimateRequest
-	body, err := readBody(r)
+	body, status, err := serve.ReadEstimateBody(w, r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ClusterResponse{Status: http.StatusBadRequest, Error: err.Error()})
+		writeJSON(w, status, ClusterResponse{Status: status, Error: err.Error()})
 		return
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := serve.DecodeEstimateRequest(body, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ClusterResponse{Status: http.StatusBadRequest, Error: "parsing body: " + err.Error()})
 		return
 	}
@@ -418,16 +418,6 @@ func (n *Node) fail(peerID string, brk *faults.Breaker) {
 		brk.Failure()
 	}
 	n.notePeer(peerID, false)
-}
-
-// readBody caps and reads one request body.
-func readBody(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	buf := &bytes.Buffer{}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, 64<<20)); err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // writeJSON mirrors the serve package's response helper.

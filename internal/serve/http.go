@@ -334,8 +334,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	var req EstimateRequest
-	if !decodeJSON(w, r, &req) {
-		status = http.StatusBadRequest
+	status = decodeEstimateBody(w, r, func(body []byte) error { return DecodeEstimateRequest(body, &req) })
+	if status != http.StatusOK {
 		at.End("error")
 		return
 	}
@@ -365,8 +365,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	var req BatchRequest
-	if !decodeJSON(w, r, &req) {
-		status = http.StatusBadRequest
+	status = decodeEstimateBody(w, r, func(body []byte) error { return DecodeBatchRequest(body, &req) })
+	if status != http.StatusOK {
 		at.End("error")
 		return
 	}
@@ -627,12 +627,13 @@ func (s *Server) emitActivation(version string, rollback bool) {
 	}
 }
 
-// decodeJSON parses the request body, answering 400 on garbage. Returns
-// false when the response has been written.
+// decodeJSON parses a management request body, answering 413 over the
+// body cap and 400 on garbage. Returns false when the response has been
+// written.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, status, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		writeError(w, status, err.Error())
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
@@ -640,6 +641,22 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// decodeEstimateBody reads an estimate endpoint's body and parses it with
+// decode, writing the error response itself on failure. It returns the
+// status: 200 when the request is ready to serve.
+func decodeEstimateBody(w http.ResponseWriter, r *http.Request, decode func([]byte) error) int {
+	body, status, err := ReadEstimateBody(w, r)
+	if err != nil {
+		writeError(w, status, err.Error())
+		return status
+	}
+	if err := decode(body); err != nil {
+		writeError(w, http.StatusBadRequest, "parsing body: "+err.Error())
+		return http.StatusBadRequest
+	}
+	return http.StatusOK
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -22,7 +22,7 @@ import (
 var testNames = []string{"a", "b"}
 
 // mkLinear builds a one-platform cluster model: watts = intercept + a + 2b.
-func mkLinear(t *testing.T, intercept float64) *models.ClusterModel {
+func mkLinear(t testing.TB, intercept float64) *models.ClusterModel {
 	t.Helper()
 	mm := &models.MachineModel{
 		Platform: "p",
