@@ -154,7 +154,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		jsonOut     = fs.Bool("json", false, "emit machine-readable JSON event lines")
 		shards      = fs.Int("shards", 4, "worker shards (machine-ID hash)")
 		queue       = fs.Int("queue", 256, "per-shard bounded queue depth (full = 429)")
-		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "how long a worker widens a batch after the first sample")
+		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "longest a worker widens a batch after the first sample (/v1/estimate/batch payloads predict once fully queued)")
 		batchMax    = fs.Int("batch-max", 64, "max samples per predictor batch")
 		deadline    = fs.Duration("deadline", 250*time.Millisecond, "default per-request deadline")
 		platform    = fs.String("platform", "Core2", "bootstrap/loadgen platform class")

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -252,12 +251,14 @@ func traceStatus(httpStatus int) string {
 	}
 }
 
-// estimateOnce runs one snapshot through the engine and maps the outcome
-// to a wire response + status. at may be nil (untraced). prio is the
-// transport-level default priority; an explicit request field wins.
-func (s *Server) estimateOnce(req EstimateRequest, deadline time.Duration, at *obs.ActiveTrace, prio overload.Priority) EstimateResponse {
+// snapshotRequest maps one wire snapshot to an engine Request. A snapshot
+// that can never be queued (no samples, or a machine another peer owns)
+// is answered here: the returned response has a non-zero Status. at may
+// be nil (untraced). prio is the transport-level default priority; an
+// explicit request field wins.
+func (s *Server) snapshotRequest(req EstimateRequest, deadline time.Duration, at *obs.ActiveTrace, prio overload.Priority) (Request, EstimateResponse) {
 	if len(req.Samples) == 0 {
-		return EstimateResponse{Status: http.StatusBadRequest, Error: "no samples"}
+		return Request{}, EstimateResponse{Status: http.StatusBadRequest, Error: "no samples"}
 	}
 	if s.cfg.Owner != nil {
 		for _, sj := range req.Samples {
@@ -266,7 +267,7 @@ func (s *Server) estimateOnce(req EstimateRequest, deadline time.Duration, at *o
 				// 421 Misdirected Request: this node does not own the
 				// machine's predictors. The hint tells the client (or the
 				// scatter-gather front door) where to go.
-				return EstimateResponse{
+				return Request{}, EstimateResponse{
 					Status:    http.StatusMisdirectedRequest,
 					Error:     fmt.Sprintf("machine %s is owned by peer %s", sj.MachineID, peer),
 					Owner:     peer,
@@ -296,7 +297,11 @@ func (s *Server) estimateOnce(req EstimateRequest, deadline time.Duration, at *o
 	if req.Priority != "" {
 		prio = overload.ParsePriority(req.Priority)
 	}
-	res, err := s.Estimate(Request{Samples: samples, Deadline: deadline, Metered: metered, Trace: at, Priority: prio})
+	return Request{Samples: samples, Deadline: deadline, Metered: metered, Trace: at, Priority: prio}, EstimateResponse{}
+}
+
+// estimateResponse maps an engine outcome to the wire response.
+func estimateResponse(res *Result, err error) EstimateResponse {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		resp := EstimateResponse{Status: http.StatusTooManyRequests, Error: err.Error()}
@@ -339,7 +344,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		at.End("error")
 		return
 	}
-	resp := s.estimateOnce(req, 0, at, overload.ParsePriority(r.Header.Get(PriorityHeader)))
+	ereq, resp := s.snapshotRequest(req, 0, at, overload.ParsePriority(r.Header.Get(PriorityHeader)))
+	if resp.Status == 0 {
+		resp = estimateResponse(s.Estimate(ereq))
+	}
 	status = resp.Status
 	s.setBackpressureHeaders(w, resp)
 	if at != nil {
@@ -379,19 +387,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	deadline := time.Duration(req.DeadlineMS * float64(time.Millisecond))
 	headerPrio := overload.ParsePriority(r.Header.Get(PriorityHeader))
 	resp := BatchResponse{Results: make([]EstimateResponse, len(req.Requests))}
-	// Scatter every snapshot's samples before gathering any: the shards
-	// see the whole batch at once, so their windows fill and the
-	// per-sample overhead amortizes across the entire HTTP payload. All
+	// Scatter every snapshot's samples from this goroutine before
+	// gathering any: the shards see the whole payload at once, and the
+	// push marks let each touched shard predict as soon as the payload's
+	// last sample reaches it instead of waiting out the fill window. All
 	// snapshots of a traced batch share the request's trace.
-	var wg sync.WaitGroup
+	flights := make([]flight, len(req.Requests))
+	scattered := make([]*flight, 0, len(req.Requests))
 	for i := range req.Requests {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp.Results[i] = s.estimateOnce(req.Requests[i], deadline, at, headerPrio)
-		}(i)
+		flights[i].req, resp.Results[i] = s.snapshotRequest(req.Requests[i], deadline, at, headerPrio)
+		if resp.Results[i].Status == 0 {
+			scattered = append(scattered, &flights[i])
+		}
 	}
-	wg.Wait()
+	s.scatter(scattered, true)
+	for i := range flights {
+		if resp.Results[i].Status == 0 {
+			resp.Results[i] = estimateResponse(s.gather(&flights[i]))
+		}
+	}
 	// The HTTP envelope is 200 whenever it parsed, but the SLO observer
 	// and the trace see the worst sub-result: an all-shed batch must burn
 	// the latency error budget exactly as the same overload would on

@@ -242,8 +242,8 @@ func TestOverloadRetryAfterHeaders(t *testing.T) {
 		t.Fatal("429 response missing Retry-After header")
 	}
 
-	// 504: an impossible per-request deadline always expires in the
-	// batch window + predictor stall.
+	// 504: deadlines are checked when a worker picks the batch up, so
+	// the 1ms deadline expires in /v1/estimate's default 2ms fill window.
 	_, base2 := newTestServer(t, Config{
 		Shards: 1, BatchMax: 4, PredictStall: 30 * time.Millisecond,
 	})

@@ -34,6 +34,19 @@ var (
 	swapPredictors = obs.Default().Counter("chaos_serve_predictor_builds_total", nil)
 )
 
+// Why a worker ended a batch fill: it reached BatchMax, the fill window
+// ran out, it reached a push-marked sample, or the queue closed.
+var (
+	closeFull   = batchClose("full")
+	closeWindow = batchClose("window")
+	closePush   = batchClose("push")
+	closeClosed = batchClose("closed")
+)
+
+func batchClose(reason string) *obs.Counter {
+	return obs.Default().Counter("chaos_serve_batch_close_total", obs.Labels{"reason": reason})
+}
+
 // Config tunes the serving engine. Zero values take defaults.
 type Config struct {
 	// Shards is the number of worker shards; samples route to a shard by
@@ -41,8 +54,12 @@ type Config struct {
 	Shards int
 	// QueueDepth bounds each shard's queue. A full queue sheds (429).
 	QueueDepth int
-	// BatchWindow is how long a worker waits to accumulate more samples
-	// after the first arrives.
+	// BatchWindow is the longest a worker waits to accumulate more samples
+	// after the first arrives. A /v1/estimate/batch payload does not wait
+	// it out: once the payload has queued all its samples, each shard it
+	// touched predicts what is queued. Single snapshots (Estimate,
+	// /v1/estimate, a dist node's local cluster slice) wait the full
+	// window, which is what lets concurrent clients share a batch.
 	BatchWindow time.Duration
 	// BatchMax caps samples per predictor batch.
 	BatchMax int
@@ -162,11 +179,17 @@ type taskResult struct {
 	shadowOK    bool
 }
 
-// pending is the gather side of one estimate request: tasks write their
-// slot and signal the WaitGroup; the handler waits for all of them.
-type pending struct {
+// flight is one snapshot between the two halves of an estimate: scatter
+// admits it and queues its samples, whose tasks write their result slot
+// and signal the WaitGroup; gather waits for all of them. err, when
+// scatter sets it, is the whole answer: the snapshot never reached a
+// queue, and res (possibly nil) goes back as is.
+type flight struct {
+	req     Request
 	wg      sync.WaitGroup
 	results []taskResult
+	res     *Result
+	err     error
 }
 
 // task is one sample queued on a shard. enqueued/dequeued bound the queue
@@ -176,13 +199,17 @@ type task struct {
 	sample   online.Sample
 	deadline time.Time
 	idx      int
-	req      *pending
+	req      *flight
+	sh       *shard
 	enqueued time.Time
 	dequeued time.Time
 	at       *obs.ActiveTrace
 	// acquired means this sample holds one unit of its shard's adaptive
 	// limiter and must release it exactly once on completion.
 	acquired bool
+	// push marks the last sample a batch payload queues on this shard: the
+	// worker that dequeues it stops waiting for the fill window.
+	push bool
 }
 
 // shard is one worker's queue plus its per-version predictor cache. Each
@@ -355,23 +382,75 @@ type Request struct {
 // atomically against each touched shard's limiter, so a partially-shed
 // request never burns predictor capacity on samples it cannot answer.
 func (s *Server) Estimate(req Request) (*Result, error) {
-	samples, deadline, at, prio := req.Samples, req.Deadline, req.Trace, req.Priority
+	f := &flight{req: req}
+	s.scatter([]*flight{f}, false)
+	return s.gather(f)
+}
+
+// scatter admits every flight and queues its samples on their shards, in
+// order, from the calling goroutine. With push, the last sample queued on
+// each shard is marked so that shard's worker predicts as soon as it gets
+// there instead of waiting out the fill window. Marks are placed after
+// admission, so a shed snapshot never holds one; if the marked sample
+// itself meets a full queue, that shard falls back to the window.
+func (s *Server) scatter(fs []*flight, push bool) {
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	n := 0
+	for _, f := range fs {
+		n += len(f.req.Samples)
+	}
+	queued := make([]*task, 0, n)
+	for _, f := range fs {
+		queued = s.admit(f, queued)
+	}
+	if push {
+		marked := make([]bool, len(s.shards))
+		for i := len(queued) - 1; i >= 0; i-- {
+			if t := queued[i]; !marked[t.sh.id] {
+				marked[t.sh.id] = true
+				t.push = true
+			}
+		}
+	}
+	now := time.Now()
+	for _, t := range queued {
+		sh := t.sh
+		t.enqueued = now
+		select {
+		case sh.queue <- t:
+			sh.depth.Set(float64(len(sh.queue)))
+		default:
+			// Bounded queue full: shed instead of queueing unboundedly.
+			if t.acquired {
+				s.ov.LimiterFor(sh.id).Cancel(1)
+			}
+			shedTotal.Inc()
+			t.at.Span("shed", t.enqueued, 0, obs.String("machine", t.sample.MachineID))
+			t.req.results[t.idx] = taskResult{shed: true}
+			t.req.wg.Done()
+		}
+	}
+}
+
+// admit validates one snapshot and takes its limiter share, appending its
+// tasks to queued. A snapshot that cannot be queued gets its answer in
+// f.err instead. The caller holds closeMu for reading.
+func (s *Server) admit(f *flight, queued []*task) []*task {
+	samples, deadline, at, prio := f.req.Samples, f.req.Deadline, f.req.Trace, f.req.Priority
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("serve: no samples")
+		f.err = fmt.Errorf("serve: no samples")
+		return queued
+	}
+	if s.closed {
+		f.err = fmt.Errorf("serve: server closed")
+		return queued
 	}
 	if deadline <= 0 {
 		deadline = s.cfg.Deadline
 	}
 	now := time.Now()
 	due := now.Add(deadline)
-	p := &pending{results: make([]taskResult, len(samples))}
-	p.wg.Add(len(samples))
-
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return nil, fmt.Errorf("serve: server closed")
-	}
 	if s.ov != nil {
 		// All-or-nothing admission: count this snapshot's samples per
 		// shard, then acquire each shard's share atomically. On any
@@ -394,38 +473,35 @@ func (s *Server) Estimate(req Request) (*Result, error) {
 					s.ov.LimiterFor(j).Cancel(counts[j])
 				}
 			}
-			s.closeMu.RUnlock()
 			shedTotal.Add(float64(len(samples)))
 			at.Span("shed", now, 0, obs.String("reason", "limiter"),
 				obs.String("priority", prio.String()))
-			return &Result{Shed: len(samples), RetryAfter: dec.RetryAfter}, ErrOverloaded
+			f.res, f.err = &Result{Shed: len(samples), RetryAfter: dec.RetryAfter}, ErrOverloaded
+			return queued
 		}
 	}
+	f.results = make([]taskResult, len(samples))
+	f.wg.Add(len(samples))
 	for i := range samples {
-		t := &task{sample: samples[i], deadline: due, idx: i, req: p, enqueued: now, at: at, acquired: s.ov != nil}
-		sh := s.shardFor(samples[i].MachineID)
-		select {
-		case sh.queue <- t:
-			sh.depth.Set(float64(len(sh.queue)))
-		default:
-			// Bounded queue full: shed instead of queueing unboundedly.
-			if t.acquired {
-				s.ov.LimiterFor(sh.id).Cancel(1)
-			}
-			shedTotal.Inc()
-			at.Span("shed", now, 0, obs.String("machine", samples[i].MachineID))
-			p.results[i] = taskResult{shed: true}
-			p.wg.Done()
-		}
+		queued = append(queued, &task{sample: samples[i], deadline: due, idx: i, req: f,
+			sh: s.shardFor(samples[i].MachineID), at: at, acquired: s.ov != nil})
 	}
-	s.closeMu.RUnlock()
-	p.wg.Wait()
+	return queued
+}
 
+// gather waits for every queued sample of a scattered flight and sums
+// them into its Result.
+func (s *Server) gather(f *flight) (*Result, error) {
+	if f.err != nil {
+		return f.res, f.err
+	}
+	f.wg.Wait()
+	samples := f.req.Samples
 	res := &Result{PerMachine: make(map[string]float64, len(samples))}
 	versions := map[string]bool{}
 	var shadowSum float64
 	shadowN := 0
-	for i, tr := range p.results {
+	for i, tr := range f.results {
 		switch {
 		case tr.shed:
 			res.Shed++
@@ -456,7 +532,7 @@ func (s *Server) Estimate(req Request) (*Result, error) {
 	if res.Err != nil {
 		return res, res.Err
 	}
-	s.observe(res, samples, req.Metered, shadowSum, shadowN)
+	s.observe(res, samples, f.req.Metered, shadowSum, shadowN)
 	return res, nil
 }
 
@@ -581,46 +657,80 @@ var (
 )
 
 // worker drains one shard: it picks up the first queued task, widens the
-// batch for up to BatchWindow (or BatchMax samples), then predicts the
-// whole batch under one predictor lock — amortizing queue wakeups, the
-// registry load, and feature-row construction bookkeeping across every
-// sample that arrived in the window.
+// batch (see fill), then predicts the whole batch under one predictor lock
+// — amortizing queue wakeups, the registry load, and feature-row
+// construction bookkeeping across every sample in the batch.
 func (s *Server) worker(sh *shard) {
 	defer s.wg.Done()
+	var batch []*task // reused across fills: process keeps no reference
 	for {
 		t, ok := <-sh.queue
 		if !ok {
 			return
 		}
 		t.dequeued = time.Now()
-		batch := []*task{t}
-		window := s.cfg.BatchWindow
-		if s.ov != nil && s.ov.Level() >= overload.LevelTrim {
-			// Brownout rung 1: shrink the fill window so queued work
-			// drains with less artificial batching latency.
-			window /= 4
-			if window < 50*time.Microsecond {
-				window = 50 * time.Microsecond
-			}
-		}
-		timer := time.NewTimer(window)
-	fill:
-		for len(batch) < s.cfg.BatchMax {
-			select {
-			case t2, ok := <-sh.queue:
-				if !ok {
-					break fill
-				}
-				t2.dequeued = time.Now()
-				batch = append(batch, t2)
-			case <-timer.C:
-				break fill
-			}
-		}
-		timer.Stop()
+		var reason *obs.Counter
+		batch, reason = s.fill(sh, append(batch[:0], t))
+		reason.Inc()
 		sh.depth.Set(float64(len(sh.queue)))
 		s.process(sh, batch)
+		clear(batch)
 	}
+}
+
+// fill widens a batch from its first task up to BatchMax samples. It waits
+// up to BatchWindow for more, except once it holds a push-marked task:
+// the batch payload behind the mark has queued everything it carries, so
+// fill takes only what is already queued. It returns the batch and the
+// counter for why the fill ended.
+func (s *Server) fill(sh *shard, batch []*task) ([]*task, *obs.Counter) {
+	push := batch[0].push
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for len(batch) < s.cfg.BatchMax {
+		var t *task
+		ok := true
+		if push {
+			select {
+			case t, ok = <-sh.queue:
+			default:
+				return batch, closePush
+			}
+		} else {
+			if timer == nil {
+				timer = time.NewTimer(s.fillWindow())
+			}
+			select {
+			case t, ok = <-sh.queue:
+			case <-timer.C:
+				return batch, closeWindow
+			}
+		}
+		if !ok {
+			return batch, closeClosed
+		}
+		t.dequeued = time.Now()
+		batch = append(batch, t)
+		push = push || t.push
+	}
+	return batch, closeFull
+}
+
+// fillWindow is BatchWindow, shrunk on brownout rung 1 so queued work
+// drains with less artificial batching latency.
+func (s *Server) fillWindow() time.Duration {
+	window := s.cfg.BatchWindow
+	if s.ov != nil && s.ov.Level() >= overload.LevelTrim {
+		window /= 4
+		if window < 50*time.Microsecond {
+			window = 50 * time.Microsecond
+		}
+	}
+	return window
 }
 
 // finish answers one task and returns its limiter admission, feeding the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -502,6 +503,230 @@ func syntheticTraces(t *testing.T, machines, seconds int) []*trace.Trace {
 		out[m] = tr
 	}
 	return out
+}
+
+// TestServeBatchRequestSkipsFillWindow pins the push path: a
+// /v1/estimate/batch payload is predicted as soon as its last sample
+// reaches each shard, not after BatchWindow, with estimates bit-identical
+// to the offline model. A lone /v1/estimate still waits the window.
+func TestServeBatchRequestSkipsFillWindow(t *testing.T) {
+	const window = 500 * time.Millisecond
+	s, base := newTestServer(t, Config{BatchWindow: window, Deadline: 30 * time.Second})
+	client := &http.Client{}
+	offline := mkLinear(t, 10).ByPlatform["p"].Model
+	machines := []string{"m0", "m1", "m2"}
+	shards := map[int]bool{}
+	for _, m := range machines {
+		shards[s.shardFor(m).id] = true
+	}
+	snapshot := func(k int) EstimateRequest {
+		var req EstimateRequest
+		for j, m := range machines {
+			req.Samples = append(req.Samples, sample(m, float64(k)+0.1*float64(j), 1.5*float64(k+j)))
+		}
+		return req
+	}
+	// checkEstimate compares one answered snapshot with the offline model.
+	checkEstimate := func(name string, got EstimateResponse, req EstimateRequest) {
+		t.Helper()
+		if got.Status != http.StatusOK {
+			t.Fatalf("%s: status %d (%s), want 200", name, got.Status, got.Error)
+		}
+		var cluster float64
+		for _, sj := range req.Samples {
+			want := offline.Predict(sj.Counters)
+			if math.Float64bits(got.PerMachine[sj.MachineID]) != math.Float64bits(want) {
+				t.Errorf("%s: %s = %v, offline %v", name, sj.MachineID, got.PerMachine[sj.MachineID], want)
+			}
+			cluster += want
+		}
+		if math.Float64bits(got.ClusterWatts) != math.Float64bits(cluster) {
+			t.Errorf("%s: cluster = %v, offline %v", name, got.ClusterWatts, cluster)
+		}
+	}
+
+	for _, invalid := range []int{-1, 2} {
+		name := "valid batch"
+		var req BatchRequest
+		for k := 0; k < 4; k++ {
+			sn := snapshot(k)
+			if k == invalid {
+				name, sn = "batch with an empty snapshot", EstimateRequest{}
+			}
+			req.Requests = append(req.Requests, sn)
+		}
+		push, win := closePush.Value(), closeWindow.Value()
+		start := time.Now()
+		status, body := postJSON(t, client, base+"/v1/estimate/batch", req)
+		took := time.Since(start)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", name, status, body)
+		}
+		if took >= 100*time.Millisecond {
+			t.Errorf("%s took %s under a %s window, want < 100ms", name, took, window)
+		}
+		var resp BatchResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != len(req.Requests) {
+			t.Fatalf("%s: %d results, want %d", name, len(resp.Results), len(req.Requests))
+		}
+		for k, r := range resp.Results {
+			if k == invalid {
+				if r.Status != http.StatusBadRequest {
+					t.Errorf("%s: empty snapshot status %d, want 400", name, r.Status)
+				}
+				continue
+			}
+			checkEstimate(fmt.Sprintf("%s, snapshot %d", name, k), r, req.Requests[k])
+		}
+		if d := closePush.Value() - push; d != float64(len(shards)) {
+			t.Errorf("%s: push closes +%g, want +%d (one per shard touched)", name, d, len(shards))
+		}
+		if d := closeWindow.Value() - win; d != 0 {
+			t.Errorf("%s: window closes +%g, want +0", name, d)
+		}
+	}
+
+	// A lone snapshot has no push mark: every shard it touches waits the
+	// window out, which is what lets concurrent single requests share it.
+	push, win := closePush.Value(), closeWindow.Value()
+	req := snapshot(7)
+	start := time.Now()
+	status, body := postJSON(t, client, base+"/v1/estimate", req)
+	if took := time.Since(start); took < window {
+		t.Errorf("lone /v1/estimate took %s, want at least the %s window", took, window)
+	}
+	var resp EstimateResponse
+	if err := json.Unmarshal(body, &resp); err != nil || status != http.StatusOK {
+		t.Fatalf("lone /v1/estimate: status %d, err %v, body %s", status, err, body)
+	}
+	checkEstimate("lone /v1/estimate", resp, req)
+	if d := closeWindow.Value() - win; d != float64(len(shards)) {
+		t.Errorf("lone /v1/estimate: window closes +%g, want +%d", d, len(shards))
+	}
+	if d := closePush.Value() - push; d != 0 {
+		t.Errorf("lone /v1/estimate: push closes +%g, want +0", d)
+	}
+}
+
+// TestServeBatchBoundedGoroutines serves one 50k-snapshot batch and checks
+// the handler scatters it without a goroutine per snapshot: the process's
+// goroutine count stays within a small constant of its idle value.
+func TestServeBatchBoundedGoroutines(t *testing.T) {
+	const snapshots = 50000
+	_, base := newTestServer(t, Config{QueueDepth: 1 << 16, Deadline: time.Minute})
+	client := &http.Client{}
+	// Open the keep-alive connection first so its goroutines count in
+	// the baseline.
+	if status, body := postJSON(t, client, base+"/v1/estimate", EstimateRequest{Samples: []SampleJSON{sample("m0", 1, 1)}}); status != http.StatusOK {
+		t.Fatalf("warm-up: status %d, body %s", status, body)
+	}
+	req := BatchRequest{Requests: make([]EstimateRequest, snapshots)}
+	for k := range req.Requests {
+		req.Requests[k].Samples = []SampleJSON{sample(fmt.Sprintf("m%d", k%8), float64(k%5), 1)}
+	}
+
+	baseline := runtime.NumGoroutine()
+	var peak atomic.Int64
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+	}()
+	status, body := postJSON(t, client, base+"/v1/estimate/batch", req)
+	close(stop)
+	<-sampled
+	if status != http.StatusOK {
+		t.Fatalf("status %d, body %.200s", status, body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != snapshots {
+		t.Fatalf("%d results, want %d", len(resp.Results), snapshots)
+	}
+	for k, r := range resp.Results {
+		if want := 10 + float64(k%5) + 2; r.Status != http.StatusOK || r.ClusterWatts != want {
+			t.Fatalf("snapshot %d: status %d watts %g, want 200/%g", k, r.Status, r.ClusterWatts, want)
+		}
+	}
+	// +1 for the sampler itself.
+	if extra := peak.Load() - int64(baseline) - 1; extra > 64 {
+		t.Errorf("goroutines peaked %d above the idle %d while serving the batch, want <= 64", extra, baseline)
+	}
+}
+
+// TestServeBatchDeeperThanQueue sends a batch with more samples than the
+// shard's queue holds while its worker is pinned: the envelope is still
+// 200 and every snapshot is answered, the queued ones 200 and the
+// overflow 429. The batch's push-marked last sample is among the shed,
+// so the shard falls back to the fill window.
+func TestServeBatchDeeperThanQueue(t *testing.T) {
+	const depth, snapshots = 4, 16
+	g, base := newGateServer(t, Config{Shards: 1, QueueDepth: depth, Deadline: 30 * time.Second})
+	client := &http.Client{}
+	g.gate.Store(true)
+	pinned := make(chan int, 1)
+	go func() {
+		status, _ := postJSON(t, client, base+"/v1/estimate", EstimateRequest{Samples: []SampleJSON{sample("m1", 1, 1)}})
+		pinned <- status
+	}()
+	<-g.entered
+
+	var req BatchRequest
+	for k := 0; k < snapshots; k++ {
+		req.Requests = append(req.Requests, EstimateRequest{Samples: []SampleJSON{sample("m1", float64(k), 1)}})
+	}
+	type answer struct {
+		status int
+		body   []byte
+	}
+	batch := make(chan answer, 1)
+	go func() {
+		status, body := postJSON(t, client, base+"/v1/estimate/batch", req)
+		batch <- answer{status, body}
+	}()
+	waitQueued(t, base, depth)
+	g.gate.Store(false)
+	close(g.release)
+
+	if status := <-pinned; status != http.StatusOK {
+		t.Errorf("pinned request: %d, want 200", status)
+	}
+	a := <-batch
+	if a.status != http.StatusOK {
+		t.Fatalf("batch envelope: status %d, body %s", a.status, a.body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(a.body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != snapshots {
+		t.Fatalf("%d results, want %d", len(resp.Results), snapshots)
+	}
+	byStatus := map[int]int{}
+	for k, r := range resp.Results {
+		if r.Status != http.StatusOK && r.Status != http.StatusTooManyRequests {
+			t.Errorf("snapshot %d: status %d, want 200 or 429", k, r.Status)
+		}
+		byStatus[r.Status]++
+	}
+	if byStatus[http.StatusOK] != depth || byStatus[http.StatusTooManyRequests] != snapshots-depth {
+		t.Errorf("statuses %v, want %d×200 and %d×429", byStatus, depth, snapshots-depth)
+	}
 }
 
 // TestServeHotSwapUnderLoad is the satellite race test: hammer
